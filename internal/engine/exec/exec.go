@@ -47,7 +47,8 @@ type Executor struct {
 	MorselRows int
 
 	// Pool supplies the workers for morsel execution. When nil and
-	// Workers > 1, the process-wide par.Sized(Workers) pool is used.
+	// Workers > 1, the process-wide par.Sized(Workers) pool is used; it
+	// has exactly Workers workers whatever the GOMAXPROCS in force.
 	// Sharing one pool between inter-query fan-out (workload.CollectLabels)
 	// and intra-query morsels is safe: the pool's caller-runs overflow
 	// policy degrades to inline execution when saturated.

@@ -8,6 +8,11 @@
 // allocation- and synchronization-free on the dispatch path, makes nested Do
 // calls deadlock-free, and lets a nil *Pool act as a serial executor.
 //
+// Sized and Shared hand out process-wide cached pools, one per worker count.
+// A count of 0 means the GOMAXPROCS in force at the call, so Sized(0)
+// follows GOMAXPROCS changes, while Sized(n) for n > 0 always has exactly n
+// workers: Sized(1) is the serial path whatever GOMAXPROCS is.
+//
 // Determinism: Do and For guarantee nothing about execution order, but chunk
 // *boundaries* in For and MapReduce depend only on (n, chunk) — never on the
 // worker count — and MapReduce folds partial results in ascending chunk
@@ -18,8 +23,10 @@
 package par
 
 import (
+	"maps"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool is a fixed-size worker pool for fork-join parallelism.
@@ -54,44 +61,54 @@ func New(workers int) *Pool {
 }
 
 var (
-	sharedOnce sync.Once
-	shared     *Pool
-
-	sizedMu    sync.Mutex
-	sizedPools map[int]*Pool
+	// sized maps a worker count to its process-wide cached pool. The map is
+	// copy-on-write: readers load it without locking, and sizedMu only
+	// serialises the writers that publish a copy with one more entry.
+	sized   atomic.Pointer[map[int]*Pool]
+	sizedMu sync.Mutex
 )
 
-// Shared returns the process-wide pool, sized to GOMAXPROCS at first use and
-// never closed. It is the default executor for batched prediction.
-func Shared() *Pool {
-	sharedOnce.Do(func() {
-		shared = New(0)
-		shared.persistent = true
-	})
-	return shared
-}
+// Shared returns the process-wide pool for the GOMAXPROCS in force at the
+// call; it is never closed. It is the default executor for batched
+// prediction. Shared is Sized(0).
+func Shared() *Pool { return Sized(0) }
 
 // Sized returns a process-wide cached pool with exactly the given worker
-// count (0 or GOMAXPROCS map to the shared pool). Unlike New, repeated calls
-// with the same count reuse one long-lived pool, so hot paths that honour a
-// per-call worker override never pay goroutine construction or teardown.
-// Cached pools are never closed; Close on them is a no-op.
+// count; 0 (or a negative count) means the GOMAXPROCS in force at the call,
+// so it follows later GOMAXPROCS changes. Unlike New, repeated calls with
+// the same count reuse one long-lived pool, so hot paths that honour a
+// per-call worker override never pay goroutine construction or teardown, and
+// the lookup takes no lock. Cached pools are never closed; Close on them is
+// a no-op.
 func Sized(workers int) *Pool {
-	if workers <= 0 || workers == runtime.GOMAXPROCS(0) {
-		return Shared()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if p := cachedPool(workers); p != nil {
+		return p
 	}
 	sizedMu.Lock()
 	defer sizedMu.Unlock()
-	if p, ok := sizedPools[workers]; ok {
+	if p := cachedPool(workers); p != nil {
 		return p
+	}
+	next := make(map[int]*Pool)
+	if old := sized.Load(); old != nil {
+		maps.Copy(next, *old)
 	}
 	p := New(workers)
 	p.persistent = true
-	if sizedPools == nil {
-		sizedPools = make(map[int]*Pool)
-	}
-	sizedPools[workers] = p
+	next[workers] = p
+	sized.Store(&next)
 	return p
+}
+
+// cachedPool returns the cached pool with the given worker count, or nil.
+func cachedPool(workers int) *Pool {
+	if m := sized.Load(); m != nil {
+		return (*m)[workers]
+	}
+	return nil
 }
 
 // Workers returns the pool's worker count. A nil pool reports one worker.

@@ -150,6 +150,24 @@ func TestSizedPoolsAreCached(t *testing.T) {
 	}
 }
 
+// TestSizedFollowsGOMAXPROCS: a pool cached while GOMAXPROCS was higher must
+// not be handed out for an explicit smaller count, and Sized(0) must track
+// the GOMAXPROCS in force at the call. testing.AllocsPerRun lowers GOMAXPROCS
+// to 1, so this is what keeps Sized(1) on the serial path there.
+func TestSizedFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if got := Sized(0).Workers(); got != 2 {
+		t.Fatalf("Sized(0) at GOMAXPROCS=2 has %d workers, want 2", got)
+	}
+	runtime.GOMAXPROCS(1)
+	if got := Sized(1).Workers(); got != 1 {
+		t.Fatalf("Sized(1) at GOMAXPROCS=1 has %d workers, want 1", got)
+	}
+	if got := Sized(0).Workers(); got != 1 {
+		t.Fatalf("Sized(0) at GOMAXPROCS=1 has %d workers, want 1", got)
+	}
+}
+
 func TestSizedConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	pools := make([]*Pool, 16)

@@ -203,7 +203,7 @@ func (p *Packed) PredictBatch(vs [][]float64) []float64 {
 }
 
 // PredictBatchParallel evaluates many vectors across a cached worker pool
-// (0 means the shared GOMAXPROCS-sized pool); no pool is constructed or torn
+// (0 means the GOMAXPROCS in force at the call); no pool is constructed or torn
 // down per call. Chunks are multiples of the block size so the blocked kernel
 // runs at full width on every worker.
 func (p *Packed) PredictBatchParallel(vs [][]float64, workers int) []float64 {

@@ -118,7 +118,7 @@ func (f *Flat) PredictBatch(vs [][]float64) []float64 {
 }
 
 // PredictBatchParallel evaluates many vectors across a cached worker pool
-// (0 means the shared GOMAXPROCS-sized pool); explicit worker counts reuse
+// (0 means the GOMAXPROCS in force at the call); explicit worker counts reuse
 // process-wide pools via par.Sized, so no goroutines are constructed or torn
 // down per call. Used to reproduce the multi-threaded interpretation line of
 // Figure 5.

@@ -76,8 +76,8 @@ type Model struct {
 	gbm    *gbdt.Model
 	flat   *treec.Flat
 	packed *treec.Packed
-	// workers sizes the pool PredictBatch fans out over (0 = the shared
-	// GOMAXPROCS-sized pool).
+	// workers sizes the pool PredictBatch fans out over (0 = the GOMAXPROCS
+	// in force at each call; 1 = the serial path).
 	workers int
 	// scratches recycles PredictScratch values across internal prediction
 	// calls (PredictPlan, batch workers) so the steady-state hot path is
@@ -85,8 +85,9 @@ type Model struct {
 	scratches sync.Pool
 }
 
-// SetWorkers configures how many workers PredictBatch uses (0 = GOMAXPROCS
-// via the process-wide shared pool).
+// SetWorkers configures how many workers PredictBatch uses. 0 means the
+// GOMAXPROCS in force at each call; n > 0 means exactly n workers, so 1
+// forces the serial, allocation-free batch loop even after GOMAXPROCS changes.
 func (m *Model) SetWorkers(n int) { m.workers = n }
 
 // Registry returns the feature registry used by the model.
